@@ -835,13 +835,21 @@ fn serve(clients: usize) {
 /// `TtmWorkspace` chain vs fresh allocation per shape. Both arms of every
 /// packed/naive pair run the same code path except for the kernel dispatch
 /// (flipped via [`tucker_linalg::set_kernel_mode`]) and the same worker
-/// budget, so the speedup isolates the kernel effect. Results persist
-/// machine-readably to `results/BENCH_kernels.json` (schema
-/// `tucker-bench/kernels/v2`) for the CI gate and the README table.
+/// budget, so the speedup isolates the kernel effect. Each shape also gets
+/// an `evd` block: per mode, the Gram → factor leaf on that mode's
+/// `L_n × L_n` Gram with `K = min(rank, L_n)`, full spectrum
+/// (`sym_evd`, truncated) vs the range-limited `sym_evd_top`, with the
+/// relative eigengap at `K` and the deterministic eigenvalue and subspace
+/// deviations between the two. Results persist machine-readably to
+/// `results/BENCH_kernels.json` (schema `tucker-bench/kernels/v3`) for the
+/// CI gate and the README table.
 fn kernels() {
     use std::hint::black_box;
-    use tucker_linalg::{gemm_into, set_kernel_mode, syrk_into, KernelMode, Matrix, Transpose::No};
-    use tucker_tensor::{ttm, ttm_into_threads, unfold, DenseTensor, TtmWorkspace};
+    use tucker_linalg::{
+        gemm, gemm_into, set_kernel_mode, sym_evd, sym_evd_top, syrk_into, KernelMode, Matrix,
+        Transpose::{No, Yes},
+    };
+    use tucker_tensor::{gram_threads, ttm, ttm_into_threads, unfold, DenseTensor, TtmWorkspace};
 
     struct ShapeSpec {
         dims: [usize; 3],
@@ -953,6 +961,55 @@ fn kernels() {
             ttm_rows.push(row(tn, tp));
         }
 
+        // EVD leaf: one single-threaded Gram per mode, so the deviations
+        // are the same on every host.
+        let mut evd_rows = Vec::new();
+        for (mode, &l) in dims.iter().enumerate() {
+            let g = gram_threads(&t, mode, 1);
+            let k = rank.min(l);
+            let full_s = median_secs(reps, || {
+                black_box(sym_evd(black_box(&g)).eigenvectors.truncate_cols(k));
+            });
+            let top_s = median_secs(reps, || {
+                black_box(sym_evd_top(black_box(&g), k));
+            });
+            let full = sym_evd(&g);
+            let top = sym_evd_top(&g, k);
+            let scale = full.eigenvalues[0].abs();
+            let eig_dev = top
+                .eigenvalues
+                .iter()
+                .zip(&full.eigenvalues)
+                .map(|(a, b)| (a - b).abs() / scale)
+                .fold(0.0, f64::max);
+            // Distance between the kept subspaces, whatever basis each
+            // picked inside them: max |U·Uᵀ − V·Vᵀ|.
+            let v = full.eigenvectors.truncate_cols(k);
+            let subspace_dev = gemm(&top.eigenvectors, No, &top.eigenvectors, Yes, 1.0)
+                .max_abs_diff(&gemm(&v, No, &v, Yes, 1.0));
+            let rel_gap = if k < l {
+                format!(
+                    "{:e}",
+                    (full.eigenvalues[k - 1] - full.eigenvalues[k]) / scale
+                )
+            } else {
+                "null".to_string()
+            };
+            println!(
+                "   evd mode {mode} (L {l}, K {k}): full {:>9.1}us  top-k {:>9.1}us  speedup {:>5.2}x  \
+                 gap {rel_gap}  dev {eig_dev:.1e}/{subspace_dev:.1e}",
+                full_s * 1e6,
+                top_s * 1e6,
+                full_s / top_s
+            );
+            evd_rows.push(format!(
+                "        {{\"mode\": {mode}, \"n\": {l}, \"k\": {k}, \"full_s\": {full_s:.9}, \
+                 \"topk_s\": {top_s:.9}, \"speedup\": {:.4}, \"rel_gap\": {rel_gap}, \
+                 \"eig_dev\": {eig_dev:e}, \"subspace_dev\": {subspace_dev:e}}}",
+                full_s / top_s
+            ));
+        }
+
         // Full 3-mode chain under the production Auto dispatch: fresh
         // allocating ttm() per step vs warm workspace.
         let ops: Vec<(usize, &Matrix)> = factors.iter().enumerate().collect();
@@ -982,19 +1039,20 @@ fn kernels() {
              \"reps\": {reps},\n      \"gemm\": [\n{}\n      ],\n      \
              \"syrk\": [\n{}\n      ],\n      \"ttm\": [\n{}\n      ],\n      \
              \"ttm_chain\": {{\"fresh_s\": {fresh:.9}, \"workspace_s\": {pooled:.9}, \
-             \"speedup\": {:.4}}}\n    }}",
+             \"speedup\": {:.4}}},\n      \"evd\": [\n{}\n      ]\n    }}",
             dims[0],
             dims[1],
             dims[2],
             gemm_rows.join(",\n"),
             syrk_rows.join(",\n"),
             ttm_rows.join(",\n"),
-            fresh / pooled
+            fresh / pooled,
+            evd_rows.join(",\n")
         ));
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"tucker-bench/kernels/v2\",\n  \"host_cores\": {host_cores},\n  \
+        "{{\n  \"schema\": \"tucker-bench/kernels/v3\",\n  \"host_cores\": {host_cores},\n  \
          \"skipped_single_core\": {skipped_single_core},\n  \"shapes\": [\n{}\n  ]\n}}\n",
         shape_blocks.join(",\n")
     );

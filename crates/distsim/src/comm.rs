@@ -574,6 +574,13 @@ impl RankCtx {
         self.nranks
     }
 
+    /// OS threads the running mesh has spawned that are still live (its
+    /// workers, plus one per unfinished rank where fibers are threads);
+    /// `None` outside [`Universe::run_mesh`].
+    pub fn mesh_threads_live(&self) -> Option<usize> {
+        self.shared.mesh.as_ref().map(|m| m.threads_live())
+    }
+
     /// The attached network model, if the universe runs in virtual time.
     pub fn net(&self) -> Option<&NetModel> {
         self.shared.net.as_ref()

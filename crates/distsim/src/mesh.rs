@@ -37,7 +37,7 @@ use crate::comm::{RankCtx, RunOutput, Shared, Universe, VolumeReport};
 use crate::net::NetModel;
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
 use std::time::Duration;
 
@@ -190,6 +190,9 @@ mod fib {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     pub type Outcome = Result<(), Box<dyn Any + Send>>;
+
+    /// Fibers share their worker's OS thread.
+    pub const THREAD_PER_FIBER: bool = false;
 
     /// Switch stacks: save the callee-saved register frame and stack pointer
     /// of the caller into `*save`, then restore the frame saved in
@@ -437,6 +440,9 @@ mod fib {
 
     pub type Outcome = Result<(), Box<dyn Any + Send>>;
 
+    /// Every fiber is an OS thread of its own.
+    pub const THREAD_PER_FIBER: bool = true;
+
     #[derive(PartialEq, Clone, Copy)]
     enum Turn {
         Worker,
@@ -594,9 +600,29 @@ pub(crate) struct MeshSched {
     /// Fast-path abort flag so per-op prechecks skip the state mutex.
     aborted: AtomicBool,
     workers: usize,
+    /// OS threads this mesh spawned that are still running: its workers,
+    /// plus one per unfinished fiber where fibers are threads.
+    threads_live: AtomicUsize,
     /// Per-rank kill schedule from the [`SimAllocator`] (`u64::MAX` = never).
     kills: Vec<u64>,
     alloc: Option<SimAllocator>,
+}
+
+/// One OS thread of a mesh, counted in [`MeshSched::threads_live`] from
+/// `enter` until dropped (unwinding included).
+struct LiveThread<'a>(&'a AtomicUsize);
+
+impl<'a> LiveThread<'a> {
+    fn enter(mesh: &'a MeshSched) -> LiveThread<'a> {
+        mesh.threads_live.fetch_add(1, Ordering::Relaxed);
+        LiveThread(&mesh.threads_live)
+    }
+}
+
+impl Drop for LiveThread<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 impl MeshSched {
@@ -626,6 +652,7 @@ impl MeshSched {
             work: Condvar::new(),
             aborted: AtomicBool::new(false),
             workers,
+            threads_live: AtomicUsize::new(0),
             kills,
             alloc,
         }
@@ -633,6 +660,11 @@ impl MeshSched {
 
     fn owner(&self, rank: usize) -> usize {
         rank % self.workers
+    }
+
+    /// OS threads this mesh spawned that are still running.
+    pub(crate) fn threads_live(&self) -> usize {
+        self.threads_live.load(Ordering::Relaxed)
     }
 
     fn raise_abort(&self) -> ! {
@@ -1031,7 +1063,9 @@ impl Universe {
                 let f = &f;
                 let results = &results;
                 let entry: Box<dyn FnOnce() + Send> = Box::new(move || {
-                    let mut ctx = RankCtx::for_mesh(rank, nranks, shared);
+                    let mesh = shared.mesh.as_ref().expect("mesh scheduler");
+                    let _thread = fib::THREAD_PER_FIBER.then(|| LiveThread::enter(mesh));
+                    let mut ctx = RankCtx::for_mesh(rank, nranks, Arc::clone(&shared));
                     let r = f(&mut ctx);
                     *lock(&results[rank]) = Some(r);
                 });
@@ -1052,6 +1086,7 @@ impl Universe {
                 std::thread::Builder::new()
                     .name(format!("mesh-worker{w}"))
                     .spawn_scoped(s, move || {
+                        let _thread = LiveThread::enter(mesh);
                         QUIET_PANICS.with(|q| q.set(true));
                         while let Some(a) = mesh.next_actor(w) {
                             // SAFETY: actor `a` is owned by this worker and
@@ -1310,13 +1345,12 @@ mod tests {
     #[test]
     fn mesh_scales_to_thousands_of_ranks_on_few_threads() {
         let p = 4096;
-        let before = process_thread_count();
         let out = Universe::run_mesh(p, &MeshCfg::default(), |ctx| {
             let next = (ctx.rank() + 1) % p;
             let prev = (ctx.rank() + p - 1) % p;
             ctx.send(next, 9, vec![ctx.rank() as f64], VolumeCategory::Other);
             let during = if ctx.rank() == p / 2 {
-                process_thread_count()
+                ctx.mesh_threads_live()
             } else {
                 None
             };
@@ -1327,17 +1361,16 @@ mod tests {
         assert!(out.all_ok());
         assert!(out.workers <= MESH_WORKER_CAP);
         let during = match &out.results[p / 2] {
-            RankOutcome::Ok(d) => *d,
+            RankOutcome::Ok(d) => d.expect("a mesh rank sees its mesh's thread count"),
             RankOutcome::Failed(m) => panic!("{m}"),
         };
-        if let (Some(b), Some(d)) = (before, during) {
-            // P fibers must not mean P threads: only the worker pool (plus
-            // whatever the test harness already had) may exist mid-run.
-            assert!(
-                d <= b + out.workers + 2,
-                "thread count {d} with baseline {b} and {} workers",
-                out.workers
-            );
-        }
+        // P fibers must not mean P threads: mid-run, the mesh may have only
+        // its worker pool live. The count is the mesh's own, so threads
+        // that sibling tests spawn meanwhile do not enter it.
+        assert!(
+            (1..=out.workers + 2).contains(&during),
+            "mesh had {during} threads live with {} workers",
+            out.workers
+        );
     }
 }

@@ -13,11 +13,14 @@
 //!   accumulating (`β`-aware) and raw-slice `AᵀA` entry points backing the
 //!   fused Gram kernel in `tucker-tensor`,
 //! * [`qr`] — Householder QR factorization (orthonormalization),
-//! * [`evd`] — symmetric eigendecomposition via Householder tridiagonalization
-//!   followed by the implicit-shift QL iteration, with a cyclic Jacobi solver
-//!   as an independent cross-check,
-//! * [`svd`] — leading left singular vectors via the Gram-matrix + EVD route
-//!   used by the paper (§5).
+//! * [`evd`] — symmetric eigendecomposition from one column-oriented
+//!   Householder tridiagonalization: the range-limited top-`k` solver
+//!   ([`sym_evd_top`], root-free QL eigenvalues + inverse iteration for the
+//!   `k` wanted vectors, the `dsyevx` analogue), the full spectrum
+//!   ([`sym_evd`], implicit-shift QL on the formed `Q`), and a cyclic Jacobi
+//!   solver as an independent cross-check,
+//! * [`svd`] — leading left singular vectors via the Gram-matrix + top-`k`
+//!   EVD route used by the paper (§5).
 //!
 //! Everything is pure Rust with no BLAS dependency so the workspace builds on
 //! any platform; performance is adequate for the scaled experiments and, more
@@ -33,7 +36,7 @@ pub mod qr;
 pub mod svd;
 pub mod syrk;
 
-pub use evd::{jacobi_evd, sym_evd, SymEvd};
+pub use evd::{jacobi_evd, sym_evd, sym_evd_top, SymEvd};
 pub use gemm::{gemm, gemm_into, Transpose};
 pub use matrix::Matrix;
 #[cfg(feature = "mixed-precision")]

@@ -1,15 +1,18 @@
 //! Leading left singular vectors via the Gram-matrix route.
 //!
 //! The paper (§5) computes the SVD step of HOOI as a distributed Gram product
-//! `G = Z(n) Z(n)ᵀ` followed by a sequential symmetric EVD — the left
-//! singular vectors of `Z(n)` are the eigenvectors of `G`, and the singular
-//! values are the square roots of its (non-negative) eigenvalues. This module
-//! provides the sequential building block; the distributed Gram accumulation
-//! lives in `tucker-distsim`.
+//! `G = Z(n) Z(n)ᵀ` followed by a sequential, range-limited symmetric EVD
+//! (LAPACK `dsyevx`) — the left singular vectors of `Z(n)` are the
+//! eigenvectors of `G`, and the singular values are the square roots of its
+//! (non-negative) eigenvalues. This module provides the sequential building
+//! block: [`leading_from_gram`] solves for only the `k` wanted eigenpairs
+//! through [`crate::sym_evd_top`] (tridiagonalize once, eigenvalues by a
+//! root-free QL pass, inverse iteration for `k` vectors). The distributed
+//! Gram accumulation lives in `tucker-distsim`.
 
-use crate::evd::{sym_evd, SymEvd};
+use crate::evd::{assert_finite, sym_evd_top_symmetrized, SymEvd};
 use crate::matrix::Matrix;
-use crate::syrk::{symmetrize, syrk};
+use crate::syrk::syrk;
 
 /// Result of a Gram-based truncated SVD.
 #[derive(Clone, Debug)]
@@ -35,11 +38,14 @@ pub fn leading_left_singular_vectors(a: &Matrix, k: usize) -> GramSvd {
 /// Leading `k` eigenvector/singular-value pairs from an already-computed
 /// Gram matrix (e.g. one that was all-reduced across ranks).
 ///
-/// Negative eigenvalues produced by round-off are clamped to zero before the
-/// square root.
+/// Solved by the range-limited [`crate::sym_evd_top`] on `(G + Gᵀ)/2`:
+/// only the `k` wanted eigenvectors are computed. Negative eigenvalues
+/// produced by round-off are clamped to zero before the square root.
 ///
 /// # Panics
-/// Panics if `gram` is not square or `k` exceeds its order.
+/// Panics if `gram` is not square, `k` exceeds its order, or an entry is
+/// NaN or infinite (the message names the first such entry in column-major
+/// order).
 pub fn leading_from_gram(gram: &Matrix, k: usize) -> GramSvd {
     let (m, n) = gram.shape();
     assert_eq!(m, n, "gram matrix must be square");
@@ -47,17 +53,12 @@ pub fn leading_from_gram(gram: &Matrix, k: usize) -> GramSvd {
         k <= m,
         "cannot take {k} singular vectors from order-{m} gram"
     );
-    let mut g = gram.clone();
-    symmetrize(&mut g);
+    assert_finite(gram, "Gram");
     let SymEvd {
         eigenvalues,
-        eigenvectors,
-    } = sym_evd(&g);
-    let u = eigenvectors.truncate_cols(k);
-    let singular_values = eigenvalues[..k]
-        .iter()
-        .map(|&l| l.max(0.0).sqrt())
-        .collect();
+        eigenvectors: u,
+    } = sym_evd_top_symmetrized(gram, k);
+    let singular_values = eigenvalues.iter().map(|&l| l.max(0.0).sqrt()).collect();
     GramSvd { u, singular_values }
 }
 
